@@ -314,9 +314,12 @@ class SwitchPort:
         self.total_retransmits = 0
         self.total_bytes = 0
         self.total_blackouts = 0
+        # Link and FabricParams are frozen: hop rounds reuse these two
+        self.pkt_time_s: float = fabric.pkt_bytes / link.bandwidth_Bps
         self.res: Optional[Resource] = (
             Resource(sim, capacity=1, name=f"{name}.link") if sim is not None else None
         )
+        self.acquire: Optional[Acquire] = Acquire(self.res) if sim is not None else None
         if obs is not None:
             m = obs.metrics
             self._c_drops = m.counter("net.fabric.drops_pkts", port=name)
@@ -334,10 +337,6 @@ class SwitchPort:
             self._g_occupancy = self._h_occupancy = None
 
     # -- geometry ------------------------------------------------------
-    @property
-    def pkt_time_s(self) -> float:
-        return self.fabric.pkt_bytes / self.link.bandwidth_Bps
-
     @property
     def pkts_per_rtt(self) -> int:
         return max(1, int(self.fabric.rtt_s / self.pkt_time_s))
@@ -1054,7 +1053,7 @@ class Topology:
                 cwnd = min(cwnd + 1, max_w)
             for p in path:
                 p.admit(admit)
-                grant = yield Acquire(p.res)
+                grant = yield p.acquire
                 yield Timeout(admit * p.pkt_time_s)
                 p.res.release(grant)
                 p.drain(admit)

@@ -776,7 +776,7 @@ class FluidEngine:
                 for s in self._live:
                     r = self._rate[s]
                     if r > 0.0:
-                        eta = now + self._rem[s] / r
+                        eta = now + float(self._rem[s] / r)  # no np.float64 times
                         if eta < t_next:
                             t_next = eta
             else:

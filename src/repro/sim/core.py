@@ -106,7 +106,8 @@ class Acquire:
     """Yield target: block until a unit of ``resource`` is granted.
 
     The yield expression evaluates to a *grant* token which must later be
-    passed to ``resource.release(grant)``.
+    passed to ``resource.release(grant)``.  An ``Acquire`` holds no
+    state of its own, so a hot loop may yield the same one repeatedly.
     """
 
     __slots__ = ("resource",)
@@ -124,7 +125,7 @@ class Process:
     to :meth:`Simulator.run` if nobody is waiting.
     """
 
-    __slots__ = ("sim", "gen", "name", "done_event", "_started")
+    __slots__ = ("sim", "gen", "name", "done_event")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = "") -> None:
         if not hasattr(gen, "send"):
@@ -136,7 +137,6 @@ class Process:
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         self.done_event = Event(sim, name=f"done:{self.name}")
-        self._started = False
 
     @property
     def finished(self) -> bool:
@@ -155,8 +155,7 @@ class Process:
             if exc is not None:
                 target = self.gen.throw(exc)
             else:
-                target = self.gen.send(value) if self._started else next(self.gen)
-                self._started = True
+                target = self.gen.send(value)  # send(None) starts a generator
         except StopIteration as stop:
             self.sim.processes_finished += 1
             if self.sim._c_finished is not None:
@@ -175,16 +174,16 @@ class Process:
 
     def _dispatch(self, target: Any) -> None:
         sim = self.sim
-        if isinstance(target, Timeout):
+        if type(target) is Timeout:  # the hot case: exact type, tested first
             sim._schedule(sim.now + target.delay, self._step, target.value)
+        elif isinstance(target, Acquire):
+            target.resource._enqueue(self)
         elif isinstance(target, Wait):
             target.event._add_waiter(self)
         elif isinstance(target, Event):
             target._add_waiter(self)
         elif isinstance(target, Process):
             target.done_event._add_waiter(self)
-        elif isinstance(target, Acquire):
-            target.resource._enqueue(self)
         else:
             self._step(exc=SimulationError(f"process {self.name!r} yielded unsupported {target!r}"))
 
@@ -202,7 +201,10 @@ class Simulator:
         globally active one (``repro.obs.current()``).  When set, the
         kernel counts scheduled/dispatched events and process lifecycle
         into the bundle's registry, and resources built on this
-        simulator record wait/service histograms.
+        simulator record wait/service histograms.  The event counters
+        are published once per :meth:`run` slice, when it ends (also
+        when it re-raises), so they lag :meth:`event_stats` while a
+        slice is running.
     profile:
         Kernel profiler knob (flight-recorder pillar 2).  ``False``
         (default) disables it; ``True`` measures the wall time of every
@@ -251,6 +253,7 @@ class Simulator:
         self.max_heap_depth = 0
         self.run_wall_s = 0.0
         self.run_slices = 0
+        self._seq_published = 0  # events_scheduled already in the registry
         # batching overlays: coalesced tick wakeups + pooled events
         self._coalesced: dict[tuple, bool] = {}
         self.wakeups_coalesced = 0
@@ -278,8 +281,6 @@ class Simulator:
         self._seq += 1
         if len(self._heap) > self.max_heap_depth:
             self.max_heap_depth = len(self._heap)
-        if self._c_scheduled is not None:
-            self._c_scheduled.value += 1.0
 
     def call_at(self, time: float, fn: Callable, *args: Any) -> None:
         """Schedule a plain callback at an absolute simulated time."""
@@ -376,7 +377,7 @@ class Simulator:
         process with no waiter aborts the run and is re-raised here.
         """
         heap = self._heap
-        dispatched = self._c_dispatched
+        trace = self._trace
         profile_every = self._profile_every
         n_disp = 0
         wall0 = _time.perf_counter()
@@ -389,10 +390,8 @@ class Simulator:
                     break
                 heapq.heappop(heap)
                 self.now = time
-                if self._trace is not None:
-                    self._trace(time, getattr(fn, "__qualname__", repr(fn)))
-                if dispatched is not None:
-                    dispatched.value += 1.0
+                if trace is not None:
+                    trace(time, getattr(fn, "__qualname__", repr(fn)))
                 n_disp += 1
                 if profile_every and n_disp % profile_every == 0:
                     t0 = _time.perf_counter()
@@ -409,8 +408,12 @@ class Simulator:
         finally:
             self.events_dispatched += n_disp
             self.run_wall_s += _time.perf_counter() - wall0
-            # keep the gauges truthful even when a crashed process re-raises
+            # publish the slice's counts and keep the gauges truthful,
+            # even when a crashed process re-raises
             if self._g_now is not None:
+                self._c_scheduled.value += float(self._seq - self._seq_published)
+                self._seq_published = self._seq
+                self._c_dispatched.value += float(n_disp)
                 self._g_now.set(self.now)
                 g = self.obs.metrics.gauge("sim.max_heap_depth")
                 if self.max_heap_depth > g.value:

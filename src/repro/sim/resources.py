@@ -40,12 +40,11 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self.in_use = 0
-        self._queue: Deque[Process] = deque()
+        self._queue: Deque[tuple[Process, float]] = deque()  # (proc, enqueued_at)
         self._busy_time = 0.0
         self._last_change = 0.0
         self.total_grants = 0
         self.total_wait = 0.0
-        self._enqueue_times: dict[int, float] = {}
         obs = getattr(sim, "obs", None)
         if obs is not None:
             label = name or "anon"
@@ -58,24 +57,23 @@ class Resource:
 
     # internal protocol used by Acquire dispatch
     def _enqueue(self, proc: Process) -> None:
-        self._enqueue_times[id(proc)] = self.sim.now
         if self.in_use < self.capacity:
-            self._grant(proc)
+            self._grant(proc, self.sim.now)
         else:
-            self._queue.append(proc)
+            self._queue.append((proc, self.sim.now))
 
-    def _grant(self, proc: Process) -> None:
+    def _grant(self, proc: Process, enqueued_at: float) -> None:
+        # one heap entry at the current time, behind everything already
+        # queued for this instant (the FIFO tie-break), with no Event
+        now = self.sim.now
         self._accumulate()
         self.in_use += 1
         self.total_grants += 1
-        wait = self.sim.now - self._enqueue_times.pop(id(proc), self.sim.now)
+        wait = now - enqueued_at
         self.total_wait += wait
         if self._h_wait is not None:
             self._h_wait.observe(wait)
-        grant = Grant(self, self.sim.now)
-        ev = Event(self.sim, name=f"grant:{self.name}")
-        ev._add_waiter(proc)
-        ev.succeed(grant)
+        self.sim._schedule(now, proc._step, Grant(self, now))
 
     def release(self, grant: Grant) -> None:
         if grant.resource is not self:
@@ -88,7 +86,7 @@ class Resource:
         self._accumulate()
         self.in_use -= 1
         if self._queue and self.in_use < self.capacity:
-            self._grant(self._queue.popleft())
+            self._grant(*self._queue.popleft())
 
     def _accumulate(self) -> None:
         now = self.sim.now

@@ -331,19 +331,35 @@ def test_profile_sampling_one_in_n():
         assert row["est_events"] == row["samples"] * 4
 
 
+def _published_event_counts(o) -> tuple:
+    counters = o.metrics.snapshot()["counters"]
+    return counters["sim.events_scheduled"], counters["sim.events_dispatched"]
+
+
 def test_profile_off_by_default_and_heap_gauge_with_bundle():
-    with obs_mod.use(Observability(name="gauge")) as o:
-        sim = Simulator()
+    # a full run; run(until=) slices ending on event times; an empty slice
+    for slices in [(None,), (0.5, 1.0, None), (0.0, 2.5, 2.5, None)]:
+        with obs_mod.use(Observability(name="gauge")) as o:
+            sim = Simulator()
 
-        def p():
-            yield Timeout(1.0)
+            def p():
+                yield Timeout(1.0)
+                yield Timeout(1.0)
 
-        for i in range(5):
-            sim.spawn(p(), name=f"g{i}")
-        sim.run()
-        assert sim._profile_every == 0 and sim.profile_stats() == {}
-        g = o.metrics.snapshot()["gauges"]["sim.max_heap_depth"]
-        assert g == sim.max_heap_depth >= 5
+            for i in range(5):
+                sim.spawn(p(), name=f"g{i}")
+            # kernel event counters reach the registry once per run() slice
+            assert _published_event_counts(o) == (0.0, 0.0)
+            for until in slices:
+                sim.run(until=until)
+                st = sim.event_stats()
+                assert _published_event_counts(o) == (
+                    st["events_scheduled"], st["events_dispatched"]
+                ), slices
+            assert st["events_dispatched"] == 15 and st["run_slices"] == len(slices)
+            assert sim._profile_every == 0 and sim.profile_stats() == {}
+            g = o.metrics.snapshot()["gauges"]["sim.max_heap_depth"]
+            assert g == sim.max_heap_depth >= 5
 
 
 # -- bench harness + benchdiff (pillar 3) -------------------------------

@@ -159,3 +159,35 @@ def test_fluid_stats_surface():
     topo2 = Topology(sim2, 8, Link(112e6), Link(112e6),
                      fabric=replace(fab, mode="exact"))
     assert topo2.fluid_stats() is None
+
+
+def test_fluid_storm_times_are_python_floats():
+    """Completion times never leak ``np.float64`` into the heap or the clock.
+
+    The finish instants are pinned to the values the engine produced
+    before the cast; once the live set shrinks to the small-set path,
+    every completion goes through it.
+    """
+    fab = replace(FIXED, name="storm", mode="fluid")
+    dispatched_at = []
+    sim = Simulator(trace=lambda t, _label: dispatched_at.append(t))
+    topo = Topology(sim, 12, Link(112e6), Link(112e6), fabric=fab)
+    finish = []
+
+    def flow(c):
+        yield from topo.to_server(c % 2, (c + 1) * 20000, src_client=c)
+        finish.append(sim.now)
+
+    for c in range(12):
+        sim.spawn(flow(c))
+    sim.run()
+    assert type(sim.now) is float
+    assert all(type(t) is float for t in finish)
+    assert all(type(t) is float for t in dispatched_at)
+    assert finish == [
+        0.001225, 0.002269642857142857, 0.0029660714285714286,
+        0.0040776785714285715, 0.004412500000000001, 0.005470535714285714,
+        0.005470535714285714, 0.006184821428571428, 0.006546428571428572,
+        0.006546428571428572, 0.007275595238095238, 0.007623809523809524,
+    ]
+    assert topo.fluid_stats()["flows_completed"] == 12

@@ -160,7 +160,8 @@ def test_unwaited_exception_aborts_run():
 
 
 def test_crash_still_updates_now_gauge():
-    """The sim.now gauge must be truthful even when run() re-raises."""
+    """The sim.now gauge and event counters must be truthful even when
+    run() re-raises."""
     from repro import obs
 
     with obs.use() as o:
@@ -170,10 +171,19 @@ def test_crash_still_updates_now_gauge():
             yield Timeout(3.0)
             raise ValueError("boom")
 
+        def bystander():
+            yield Timeout(5.0)
+
         sim.spawn(child())
+        sim.spawn(bystander())
         with pytest.raises(ValueError, match="boom"):
             sim.run()
         assert o.metrics.gauge("sim.now").value == 3.0
+        # the slice's event counts are published on the way out as well
+        st = sim.event_stats()
+        assert st["pending_events"] == 1
+        assert o.metrics.counter("sim.events_scheduled").value == st["events_scheduled"] == 4
+        assert o.metrics.counter("sim.events_dispatched").value == st["events_dispatched"] == 3
 
 
 def test_failure_propagation_no_existing_and_late_waiters():
@@ -317,6 +327,66 @@ def test_resource_mean_wait():
     sim.run()
     # second job waited 3s, first 0s
     assert res.mean_wait() == pytest.approx(1.5)
+
+    # queued FIFO handoffs at capacity 2: exact wait and busy accounting
+    sim = Simulator()
+    res = Resource(sim, capacity=2)
+    order = []
+
+    def timed_job(i, arrive, hold):
+        yield Timeout(arrive)
+        grant = yield Acquire(res)
+        order.append((i, sim.now))
+        yield Timeout(hold)
+        res.release(grant)
+
+    for i, (arrive, hold) in enumerate([(0, 3), (0, 1), (0.5, 2), (1, 1), (2, 4)]):
+        sim.spawn(timed_job(i, arrive, hold))
+    sim.run()
+    # job 3 arrives at t=1 just before job 1 releases: it queues behind 2
+    assert order == [(0, 0.0), (1, 0.0), (2, 1.0), (3, 3.0), (4, 3.0)]
+    assert res.total_grants == 5
+    assert res.total_wait == 0.5 + 2.0 + 1.0
+    assert res.mean_wait() == 3.5 / 5
+    assert sim.now == 7.0
+    assert res.utilization() == 11.0 / 14.0  # 11 unit-seconds over 7 s x 2
+    assert res.in_use == 0 and res.queue_length == 0
+
+
+def test_immediate_grant_resumes_after_same_instant_events():
+    """A grant is one heap entry at the current time, scheduled when it
+    is made: everything already queued for that instant runs first."""
+    sim = Simulator()
+    res = Resource(sim)
+    log = []
+
+    def acquirer():
+        log.append("request")
+        grant = yield Acquire(res)
+        log.append(("granted", sim.now))
+        yield Timeout(2.0)
+        sim.call_at(sim.now, log.append, "cb2")  # queued before the handoff
+        res.release(grant)
+
+    def bystander():
+        log.append("b0")
+        yield Timeout(0.0)
+        log.append("b0 again")
+
+    def waiter():
+        grant = yield Acquire(res)
+        log.append(("handoff", sim.now))
+        res.release(grant)
+
+    sim.spawn(acquirer())
+    sim.spawn(bystander())
+    sim.call_at(0.0, log.append, "cb0")
+    sim.spawn(waiter())
+    sim.run()
+    assert log == [
+        "request", "b0", "cb0", ("granted", 0.0), "b0 again",
+        "cb2", ("handoff", 2.0),
+    ]
 
 
 def test_store_fifo_and_blocking():
