@@ -11,11 +11,11 @@ busies only the one server involved plus the insert that triggered it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.giga.mapping import GigaBitmap, hash_name
 from repro.sim import Acquire, Resource, Simulator, Timeout
-from repro.sim.stats import Counter
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,9 @@ class GigaCluster:
         self.servers = [
             Resource(sim, capacity=1, name=f"mds{i}") for i in range(params.n_servers)
         ]
-        self.counters = Counter(
-            registry=sim.obs.metrics if sim.obs else None, prefix="giga."
-        )
+        self.counters: Counter[str] = Counter()
+        if sim.obs is not None:
+            sim.obs.metrics.register_counts("giga.", self.counters)
 
     def server_of(self, partition: int) -> int:
         return partition % self.params.n_servers
@@ -80,13 +80,13 @@ class GigaCluster:
         true_server = self.server_of(true_partition)
         if true_server != server_idx:
             # addressing error: correct the client
-            self.counters.add("addressing_errors")
+            self.counters["addressing_errors"] += 1
             client_bitmap.merge_from(self.bitmap)
             self.servers[server_idx].release(grant)
             return False, true_server
         bucket = self.entries.setdefault(true_partition, {})
         bucket[name] = h
-        self.counters.add("creates")
+        self.counters["creates"] += 1
         if len(bucket) > p.split_threshold:
             yield from self._split(true_partition)
         self.servers[server_idx].release(grant)
@@ -102,7 +102,7 @@ class GigaCluster:
         p = self.params
         bucket = self.entries[partition]
         if not self.bitmap.useful_split(partition, bucket.values()):
-            self.counters.add("splits_skipped")
+            self.counters["splits_skipped"] += 1
             return
         r = self.bitmap.radix[partition]
         child = self.bitmap.split(partition)
@@ -110,8 +110,8 @@ class GigaCluster:
         child_bucket = self.entries.setdefault(child, {})
         for name in movers:
             child_bucket[name] = bucket.pop(name)
-        self.counters.add("splits")
-        self.counters.add("entries_moved", len(movers))
+        self.counters["splits"] += 1
+        self.counters["entries_moved"] += len(movers)
         yield Timeout(len(movers) * p.per_entry_move_s + p.op_service_s)
 
     # -- client-side operation (simulation process) ----------------------------
@@ -169,7 +169,7 @@ class GigaCluster:
             yield Timeout(p.op_service_s + len(bucket) * p.per_entry_move_s)
             names.extend(bucket)
             self.servers[server].release(grant)
-            self.counters.add("readdir_pages")
+            self.counters["readdir_pages"] += 1
         return sorted(names)
 
     def check_invariants(self) -> None:

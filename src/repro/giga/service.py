@@ -44,6 +44,7 @@ scaling/failover criteria.
 from __future__ import annotations
 
 import bisect
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -51,7 +52,6 @@ from repro.faults.errors import RetriesExhausted
 from repro.giga.mapping import GigaBitmap, hash_name
 from repro.net.fabric import IDEAL_FABRIC, FabricParams, Link, Topology
 from repro.sim import Acquire, Resource, Simulator, Timeout, Wait
-from repro.sim.stats import Counter
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ class Coordinator:
         self.offline.add(server)
         self.map = self.map.without(server)
         self.failovers += 1
-        self.service.counters.add("failovers")
+        self.service.counters["failovers"] += 1
         obs = self.sim.obs
         if obs is not None:
             obs.metrics.gauge("giga.svc.map_version").set(float(self.map.version))
@@ -201,7 +201,7 @@ class Coordinator:
         self.online.add(server)
         self.map = self.map.with_server(server)
         self.rejoins += 1
-        self.service.counters.add("rejoins")
+        self.service.counters["rejoins"] += 1
         obs = self.sim.obs
         if obs is not None:
             obs.metrics.gauge("giga.svc.map_version").set(float(self.map.version))
@@ -212,7 +212,7 @@ class Coordinator:
         grant = yield Acquire(self.res)
         yield Timeout(self.service.params.coord_rpc_s)
         self.res.release(grant)
-        self.service.counters.add("map_fetches")
+        self.service.counters["map_fetches"] += 1
         return self.map
 
 
@@ -250,7 +250,7 @@ class MetadataServer:
         self.up = False
         self.park = park
         self._up_event = self.sim.event(f"mds{self.index}.up")
-        self.service.counters.add("crashes")
+        self.service.counters["crashes"] += 1
         self.sim.call_after(
             self.service.params.failover_detect_s,
             self.service.coordinator.notice_crash,
@@ -268,7 +268,7 @@ class MetadataServer:
         if self.up:
             return
         self.up = True
-        self.service.counters.add("recoveries")
+        self.service.counters["recoveries"] += 1
         ev, self._up_event = self._up_event, None
         if ev is not None:
             ev.succeed(self.sim.now)
@@ -288,7 +288,7 @@ class MetadataServer:
         if multiplier <= 0:
             raise ValueError("slowdown multiplier must be positive")
         self.slowdown = multiplier
-        self.service.counters.add("slowdowns")
+        self.service.counters["slowdowns"] += 1
 
 
 @dataclass
@@ -325,9 +325,9 @@ class GigaService:
         p = self.params
         self.bitmap = GigaBitmap()
         self.entries: dict[int, dict[str, int]] = {0: {}}
-        self.counters = Counter(
-            registry=sim.obs.metrics if sim.obs else None, prefix="giga.svc."
-        )
+        self.counters: Counter[str] = Counter()
+        if sim.obs is not None:
+            sim.obs.metrics.register_counts("giga.svc.", self.counters)
         self.topology = Topology(
             sim,
             n_servers=p.n_servers,
@@ -370,7 +370,7 @@ class GigaService:
                 while not srv.up:
                     yield Wait(srv._up_event)
             else:
-                self.counters.add("requests_rejected")
+                self.counters["requests_rejected"] += 1
                 return "down", None
         grant = yield Acquire(srv.res)
         yield Timeout(p.op_service_s * srv.slowdown)
@@ -378,19 +378,19 @@ class GigaService:
         owner = self.coordinator.map.owner(true_partition)
         if owner != server_idx:
             # addressing error: the reply carries the bitmap + map hint
-            self.counters.add("addressing_errors")
+            self.counters["addressing_errors"] += 1
             srv.res.release(grant)
             return "redirect", owner
         payload: object = True
         if kind == "create":
             bucket = self.entries.setdefault(true_partition, {})
             bucket[name] = h
-            self.counters.add("creates")
+            self.counters["creates"] += 1
             if len(bucket) > p.split_threshold:
                 yield from self._split(true_partition, server_idx)
         else:  # lookup / stat share the read path
             payload = name in self.entries.get(true_partition, {})
-            self.counters.add("lookups" if kind == "lookup" else "stats")
+            self.counters["lookups" if kind == "lookup" else "stats"] += 1
         srv.res.release(grant)
         return "ok", payload
 
@@ -407,23 +407,23 @@ class GigaService:
         p = self.params
         bucket = self.entries[partition]
         if not self.bitmap.useful_split(partition, bucket.values()):
-            self.counters.add("splits_skipped")
+            self.counters["splits_skipped"] += 1
             return
         r = self.bitmap.radix[partition]
         movers = [n for n, hh in bucket.items() if (hh >> r) & 1]
         yield Timeout(len(movers) * p.per_entry_move_s + p.op_service_s)
         srv = self.servers[server_idx]
         if not srv.up and not srv.park:
-            self.counters.add("splits_aborted")
+            self.counters["splits_aborted"] += 1
             return
         child = self.bitmap.split(partition)
         child_bucket = self.entries.setdefault(child, {})
         for n in movers:
             child_bucket[n] = bucket.pop(n)
-        self.counters.add("splits")
-        self.counters.add("entries_moved", len(movers))
+        self.counters["splits"] += 1
+        self.counters["entries_moved"] += len(movers)
         if self.coordinator.map.owner(child) != server_idx:
-            self.counters.add("shard_handoffs")
+            self.counters["shard_handoffs"] += 1
 
     # -- client-side ops (simulation processes) -------------------------
     def client_create(self, client: ServiceClient, name: str, ctx=None):
@@ -465,7 +465,7 @@ class GigaService:
             if status == "redirect":
                 redirects += 1
                 client.redirects += 1
-                self.counters.add("redirects")
+                self.counters["redirects"] += 1
                 # the stale-bitmap hint: merge the authoritative split
                 # history and the current map off the reply
                 client.bitmap.merge_from(self.bitmap)
@@ -478,7 +478,7 @@ class GigaService:
             else:  # dead target: back off, re-fetch the map, retry
                 dead += 1
                 client.dead_hops += 1
-                self.counters.add("dead_hops")
+                self.counters["dead_hops"] += 1
                 if ctx is not None:
                     ctx.retries += 1
                 if dead > p.max_retries:

@@ -15,8 +15,8 @@ module is the one place the reproduction models that network:
   inline NIC math;
 * :class:`SwitchPort` — one switch output port: a link plus a finite
   shared output buffer, with drop/timeout/window semantics generalized
-  from the incast model and per-port ``repro.obs`` metrics
-  (drops, timeouts, retransmits, occupancy, bytes);
+  from the incast model and per-port totals (drops, timeouts,
+  retransmits, occupancy, bytes) that ``repro.obs`` reads on demand;
 * :class:`Topology` — client NICs → switch → server NICs, driven as
   :class:`repro.sim.Simulator` processes.  Used by
   :class:`repro.pfs.SimPFS` for every client→server request and
@@ -268,29 +268,27 @@ IDEAL_FABRIC = FabricParams()
 class SwitchPort:
     """One switch output port: a link plus a finite shared output buffer.
 
-    Tracks occupancy (packets admitted but not yet drained) and exposes
-    per-port ``repro.obs`` metrics.  With ``sim`` given, the port also
-    owns a capacity-1 :class:`~repro.sim.Resource` modelling the output
-    link, so process-mode transfers serialize through it; without a
-    simulator the port is a pure accounting object for the round-based
-    engine.
+    Tracks occupancy (packets admitted but not yet drained) and damage
+    totals.  With ``sim`` given, the port also owns a capacity-1
+    :class:`~repro.sim.Resource` modelling the output link, so
+    process-mode transfers serialize through it; without a simulator
+    the port is a pure accounting object for the round-based engine.
 
-    **Label scheme / authority.**  The ``total_*`` attributes
+    **One store.**  :attr:`occupancy_pkts` and the ``total_*`` ints
     (:attr:`total_drops_pkts`, :attr:`total_timeouts`,
     :attr:`total_retransmits`, :attr:`total_bytes`,
-    :attr:`total_blackouts`) are the *authoritative* always-on counts:
-    plain ints, present with or without a metrics bundle, snapshot via
-    :meth:`stats`.  When a bundle is attached the single
-    ``record_*`` write points mirror every bump into the registry under
-    one consistent scheme — ``net.fabric.<what>{port=<name>}`` for
-    counters (``drops_pkts``, ``timeouts``, ``retransmits``, ``bytes``,
-    ``blackouts``) — so the two views cannot drift.  Occupancy
-    (``net.fabric.occupancy_pkts`` gauge + ``.hist`` histogram) is
-    obs-only: it is an instantaneous reading, not a total.  Per-tenant
-    damage attribution lives under ``net.fabric.tenant.<what>{tenant=}``
-    (recorded by :meth:`Topology._windowed` from the request context),
-    deliberately a *separate* metric family so per-port label sets stay
-    exactly as :class:`FabricFeedback` expects.
+    :attr:`total_blackouts`) are the only copy of the port's counts,
+    present with or without a metrics bundle and snapshot via
+    :meth:`stats`.  :meth:`collect` publishes the nonzero totals as
+    ``net.fabric.<what>{port=<name>}`` when a registry is read, plus the
+    ``net.fabric.occupancy_pkts`` gauge of every port that has queued; a
+    :class:`Topology` registers one collector for all of its ports, and
+    an owner of a stand-alone port registers ``port.collect`` itself.
+    The one pushed series is the ``net.fabric.occupancy_pkts.hist``
+    histogram (a distribution cannot be pulled), registered on the
+    port's first :meth:`admit` when ``obs`` is given.  Per-tenant
+    damage lives under ``net.fabric.tenant.<what>{tenant=}`` (recorded
+    by :meth:`Topology._windowed` from the request context).
     """
 
     def __init__(
@@ -304,11 +302,9 @@ class SwitchPort:
         self.link = link
         self.fabric = fabric
         self.name = name
+        self.obs = obs
         self.occupancy_pkts = 0
         self.down = False  # fault injection: blacked-out port delivers nothing
-        # always-on local totals (mirrored into obs when a registry is
-        # attached) so consumers — aggregator selection, benchmarks —
-        # can read per-port damage without an active metrics bundle
         self.total_drops_pkts = 0
         self.total_timeouts = 0
         self.total_retransmits = 0
@@ -320,21 +316,7 @@ class SwitchPort:
             Resource(sim, capacity=1, name=f"{name}.link") if sim is not None else None
         )
         self.acquire: Optional[Acquire] = Acquire(self.res) if sim is not None else None
-        if obs is not None:
-            m = obs.metrics
-            self._c_drops = m.counter("net.fabric.drops_pkts", port=name)
-            self._c_timeouts = m.counter("net.fabric.timeouts", port=name)
-            self._c_retransmits = m.counter("net.fabric.retransmits", port=name)
-            self._c_bytes = m.counter("net.fabric.bytes", port=name)
-            self._c_blackouts = m.counter("net.fabric.blackouts", port=name)
-            self._g_occupancy = m.gauge("net.fabric.occupancy_pkts", port=name)
-            self._h_occupancy = m.histogram(
-                "net.fabric.occupancy_pkts.hist", buckets=OCCUPANCY_BUCKETS, port=name
-            )
-        else:
-            self._c_drops = self._c_timeouts = self._c_retransmits = None
-            self._c_bytes = self._c_blackouts = None
-            self._g_occupancy = self._h_occupancy = None
+        self._h_occupancy = None  # registered on the first admit
 
     # -- geometry ------------------------------------------------------
     @property
@@ -391,40 +373,48 @@ class SwitchPort:
 
     def admit(self, pkts: int) -> None:
         self.occupancy_pkts += pkts
-        if self._g_occupancy is not None:
-            self._g_occupancy.set(self.occupancy_pkts)
-            self._h_occupancy.observe(self.occupancy_pkts)
+        h = self._h_occupancy
+        if h is None:
+            if self.obs is None:
+                return
+            h = self._h_occupancy = self.obs.metrics.histogram(
+                "net.fabric.occupancy_pkts.hist", buckets=OCCUPANCY_BUCKETS, port=self.name
+            )
+        h.observe(self.occupancy_pkts)
 
     def drain(self, pkts: int) -> None:
         self.occupancy_pkts -= pkts
-        if self._g_occupancy is not None:
-            self._g_occupancy.set(self.occupancy_pkts)
 
     # -- event accounting ---------------------------------------------
     def record_drops(self, pkts: int) -> None:
         self.total_drops_pkts += pkts
-        if self._c_drops is not None and pkts:
-            self._c_drops.inc(pkts)
 
     def record_timeouts(self, n: int = 1) -> None:
         self.total_timeouts += n
-        if self._c_timeouts is not None and n:
-            self._c_timeouts.inc(n)
 
     def record_retransmit(self, n: int = 1) -> None:
         self.total_retransmits += n
-        if self._c_retransmits is not None and n:
-            self._c_retransmits.inc(n)
 
     def record_bytes(self, nbytes: int) -> None:
         self.total_bytes += nbytes
-        if self._c_bytes is not None and nbytes:
-            self._c_bytes.inc(nbytes)
 
     def record_blackout(self, n: int = 1) -> None:
         self.total_blackouts += n
-        if self._c_blackouts is not None and n:
-            self._c_blackouts.inc(n)
+
+    def collect(self, m) -> None:
+        """Registry collector: add this port's nonzero counts into ``m``."""
+        for what, value in (
+            ("drops_pkts", self.total_drops_pkts),
+            ("timeouts", self.total_timeouts),
+            ("retransmits", self.total_retransmits),
+            ("bytes", self.total_bytes),
+            ("blackouts", self.total_blackouts),
+        ):
+            if value:
+                m.counter(f"net.fabric.{what}", port=self.name).inc(value)
+        if self.occupancy_pkts or self._h_occupancy is not None:
+            # a port that ever queued reports its depth, even when drained
+            m.gauge("net.fabric.occupancy_pkts", port=self.name).inc(self.occupancy_pkts)
 
     def stats(self) -> dict:
         """The authoritative always-on totals, as one sorted-key dict."""
@@ -445,41 +435,40 @@ class SwitchPort:
 
 
 class FabricFeedback:
-    """EWMA-smoothed per-server congestion costs read back from the obs registry.
+    """EWMA-smoothed per-server congestion costs read from a topology's ports.
 
     This is the sensing half of congestion-aware placement
-    (:class:`repro.placement.congestion.CongestionAwarePlacement`): it
-    snapshots the per-port metrics :class:`SwitchPort` exports
-    (``net.fabric.occupancy_pkts`` gauges, ``net.fabric.drops_pkts`` /
-    ``timeouts`` / ``bytes`` counters) at a configurable interval and
-    folds them into one exponentially-weighted cost per server port::
+    (:class:`repro.placement.congestion.CongestionAwarePlacement`): at a
+    configurable interval it reads each server :class:`SwitchPort`'s
+    occupancy and drop/timeout/byte totals straight off the port — no
+    metrics bundle needed — and folds them into one exponentially-
+    weighted cost per server port::
 
         instant = occupancy / buffer_norm + drop_weight * new_drops
         ewma    = instant + (ewma - instant) * (1 - alpha) ** elapsed_intervals
 
     so placement reacts to *sustained* hot ports, not transient bursts.
+    ``buffer_norm`` is the fabric's ``buffer_pkts`` (64 on an ideal
+    fabric).
 
-    Fault tolerance: a port whose metrics go **stale** (no counter or
-    gauge movement for ``stale_after_s`` — e.g. a stalled switch has
-    stopped exporting) contributes an instant cost of zero, so its EWMA
-    decays and consumers fall back to their baseline behaviour instead
-    of steering forever on frozen telemetry.  A missing registry
-    (``metrics=None``) reports all-zero costs and never raises —
-    feedback degrades, placement must not wedge.
+    Fault tolerance: a port whose readings go **stale** (no occupancy
+    or counter movement for ``stale_after_s`` — e.g. a stalled switch)
+    contributes an instant cost of zero, so its EWMA decays and
+    consumers fall back to their baseline behaviour instead of steering
+    forever on frozen telemetry.
 
     ``now_fn`` supplies the sampling clock (typically ``lambda:
     sim.now``); without one every :meth:`costs` call advances an
     internal tick by one interval, i.e. refreshes unconditionally.
 
     **Hierarchy.**  On a leaf/spine fabric a flow into server ``s``
-    also crosses the rack's spine downlink, so ``uplink_names`` maps
-    each server to the extra hop's port label (e.g. ``"leaf1.down"``,
-    from :meth:`Topology.uplink_name_for_server`).  Each distinct hop
-    port gets its own EWMA from the same per-port metrics, and
-    :meth:`costs` reports ``edge + hop`` per server — congestion on an
-    oversubscribed uplink surfaces on *every* server behind it, which
-    is exactly what rack-aware placement needs to steer around a hot
-    rack.  The per-edge-port metric label sets are untouched.
+    also crosses the rack's spine downlink
+    (:meth:`Topology.uplink_name_for_server`, e.g. ``"leaf1.down"``).
+    Each distinct downlink gets its own EWMA from the same readings,
+    and :meth:`costs` reports ``edge + hop`` per server — congestion on
+    an oversubscribed uplink surfaces on *every* server behind it,
+    which is exactly what rack-aware placement needs to steer around a
+    hot rack.
     """
 
     #: refresh steps folded per call are capped: past this many elapsed
@@ -488,39 +477,31 @@ class FabricFeedback:
 
     def __init__(
         self,
-        metrics,
-        n_servers: int,
+        topology: "Topology",
         *,
         now_fn=None,
         interval_s: float = 1e-3,
         alpha: float = 0.5,
         drop_weight: float = 0.1,
-        buffer_norm: float = 64.0,
         stale_after_s: float = 5e-3,
-        port_prefix: str = "server",
-        uplink_names: Optional[list[Optional[str]]] = None,
     ) -> None:
+        n_servers = topology.n_servers
         if n_servers < 1:
             raise ValueError("need at least one server port")
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         if interval_s <= 0 or stale_after_s <= 0:
             raise ValueError("interval_s and stale_after_s must be > 0")
-        if uplink_names is not None and len(uplink_names) != n_servers:
-            raise ValueError(
-                f"uplink_names must have one entry per server "
-                f"({n_servers}), got {len(uplink_names)}"
-            )
-        self.metrics = metrics
+        self.topology = topology
         self.n_servers = n_servers
         self.now_fn = now_fn
         self.interval_s = interval_s
         self.alpha = alpha
         self.drop_weight = drop_weight
-        self.buffer_norm = max(1.0, buffer_norm)
+        buffer_pkts = topology.fabric.buffer_pkts
+        self.buffer_norm = float(buffer_pkts) if buffer_pkts else 64.0
         self.stale_after_s = stale_after_s
-        self.port_prefix = port_prefix
-        self.uplink_names = uplink_names
+        self.uplink_names = [topology.uplink_name_for_server(s) for s in range(n_servers)]
         self._ewma = [0.0] * n_servers
         self._last_t: Optional[float] = None
         self._tick = 0.0                      # internal clock when now_fn is None
@@ -528,42 +509,34 @@ class FabricFeedback:
         self._sig_changed_t = [0.0] * n_servers
         self.stale = [False] * n_servers
         # one EWMA per *distinct* hop port, shared by the servers behind it
-        self._hops: list[str] = sorted(
-            {u for u in (uplink_names or []) if u is not None}
-        )
+        downlinks = {p.name: p for p in topology.leaf_down}
+        self._hops: dict[str, SwitchPort] = {
+            u: downlinks[u] for u in sorted({u for u in self.uplink_names if u is not None})
+        }
         self._hop_ewma = {u: 0.0 for u in self._hops}
         self._hop_last_sig: dict[str, Optional[tuple]] = {u: None for u in self._hops}
 
-    def _signature(self, server: int) -> tuple:
-        return self._port_signature(f"{self.port_prefix}{server}")
-
-    def _port_signature(self, port: str) -> tuple:
-        m = self.metrics
-        return (
-            m.gauge("net.fabric.occupancy_pkts", port=port).value,
-            m.counter("net.fabric.drops_pkts", port=port).value,
-            m.counter("net.fabric.timeouts", port=port).value,
-            m.counter("net.fabric.bytes", port=port).value,
-        )
+    @staticmethod
+    def _signature(port: SwitchPort) -> tuple:
+        return (port.occupancy_pkts, port.total_drops_pkts, port.total_timeouts, port.total_bytes)
 
     def refresh(self, now: Optional[float] = None) -> None:
-        """Fold a snapshot into the EWMA if at least one interval elapsed."""
-        if self.metrics is None:
-            return
+        """Fold a reading into the EWMA if at least one interval elapsed."""
         if now is None:
             now = self.now_fn() if self.now_fn is not None else self._tick
+        ports = self.topology.server_ports
         if self._last_t is None:
             # first observation: seed the EWMA with the instant reading
             self._last_t = now
             for s in range(self.n_servers):
-                sig = self._signature(s)
+                sig = self._signature(ports[s])
                 self._last_sig[s] = sig
                 self._sig_changed_t[s] = now
-                self._ewma[s] = self._instant(s, sig, drops_delta=0.0)
-            for u in self._hops:
-                sig = self._port_signature(u)
+                self._ewma[s] = self._instant(sig, drops_delta=0.0)
+            for u, port in self._hops.items():
+                sig = self._signature(port)
                 self._hop_last_sig[u] = sig
-                self._hop_ewma[u] = self._instant_from(sig, drops_delta=0.0)
+                self._hop_ewma[u] = self._instant(sig, drops_delta=0.0)
             return
         elapsed = now - self._last_t
         if elapsed < self.interval_s:
@@ -571,51 +544,46 @@ class FabricFeedback:
         steps = min(self.MAX_STEPS, int(elapsed / self.interval_s))
         decay = (1.0 - self.alpha) ** steps
         for s in range(self.n_servers):
-            sig = self._signature(s)
+            sig = self._signature(ports[s])
             prev = self._last_sig[s]
             if sig != prev:
                 self._sig_changed_t[s] = now
             self.stale[s] = (now - self._sig_changed_t[s]) >= self.stale_after_s
             drops_delta = sig[1] - prev[1] if prev is not None else 0.0
-            instant = 0.0 if self.stale[s] else self._instant(s, sig, drops_delta)
+            instant = 0.0 if self.stale[s] else self._instant(sig, drops_delta)
             self._ewma[s] = instant + (self._ewma[s] - instant) * decay
             self._last_sig[s] = sig
-        for u in self._hops:
-            sig = self._port_signature(u)
+        for u, port in self._hops.items():
+            sig = self._signature(port)
             prev = self._hop_last_sig[u]
             drops_delta = sig[1] - prev[1] if prev is not None else 0.0
-            instant = self._instant_from(sig, drops_delta)
+            instant = self._instant(sig, drops_delta)
             self._hop_ewma[u] = instant + (self._hop_ewma[u] - instant) * decay
             self._hop_last_sig[u] = sig
         self._last_t = now
 
-    def _instant(self, server: int, sig: tuple, drops_delta: float) -> float:
-        return self._instant_from(sig, drops_delta)
-
-    def _instant_from(self, sig: tuple, drops_delta: float) -> float:
+    def _instant(self, sig: tuple, drops_delta: float) -> float:
         occupancy = sig[0]
         return occupancy / self.buffer_norm + self.drop_weight * max(0.0, drops_delta)
 
     def hop_costs(self) -> dict[str, float]:
-        """Current per-hop (uplink/downlink) EWMA costs, by port label."""
+        """Current per-hop (rack downlink) EWMA costs, by port label."""
         return dict(self._hop_ewma)
 
     def costs(self, now: Optional[float] = None) -> list[float]:
         """Current per-server congestion costs (refreshing first).
 
-        With ``uplink_names`` each server's cost is its edge-port EWMA
-        *plus* its rack hop's EWMA, so uplink congestion is charged to
-        every server behind that uplink.
+        On a leaf/spine fabric each server's cost is its edge-port EWMA
+        *plus* its rack downlink's EWMA, so uplink congestion is charged
+        to every server behind that uplink.
         """
-        if self.metrics is None:
-            return [0.0] * self.n_servers
         if now is None and self.now_fn is None:
             self._tick += self.interval_s
         self.refresh(now)
-        if self.uplink_names is None:
+        if not self._hops:
             return list(self._ewma)
         return [
-            e + (self._hop_ewma[u] if u is not None else 0.0)
+            e + self._hop_ewma[u]
             for e, u in zip(self._ewma, self.uplink_names)
         ]
 
@@ -704,6 +672,21 @@ class Topology:
                 self.leaf_down.append(SwitchPort(
                     uplink, fabric, sim=sim, obs=self.obs, name=f"leaf{r}.down"
                 ))
+        if self.obs is not None:
+            self.obs.metrics.register_collector(self._collect)
+
+    def ports(self) -> list[SwitchPort]:
+        """Every switch port built so far: server, leaf, client, named."""
+        return [
+            *self.server_ports, *self.leaf_up, *self.leaf_down,
+            *self._client_ports.values(), *self._named_ports.values(),
+        ]
+
+    def _collect(self, m) -> None:
+        """Registry collector: every port's nonzero counts (see
+        :meth:`SwitchPort.collect`)."""
+        for port in self.ports():
+            port.collect(m)
 
     # -- rack geometry (leaf/spine only; flat answers are degenerate) --
     @property
@@ -1109,7 +1092,8 @@ def synchronized_fanin(
     the published fix manipulates.
 
     ``port`` (optional, simulator-less) receives per-port drop/timeout
-    accounting so the run shows up in ``repro.obs`` job reports.
+    accounting; register ``port.collect`` with a bundle's registry to
+    have the run show up in ``repro.obs`` job reports.
     """
     if n_flows < 1:
         raise ValueError("need at least one flow")

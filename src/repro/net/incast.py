@@ -120,10 +120,9 @@ def simulate_incast(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     obs = _current_obs()
-    port = SwitchPort(
-        cfg.as_link(), cfg.as_fabric(), obs=obs,
-        name=f"incast.{cfg.name}.{n_servers}",
-    )
+    port = SwitchPort(cfg.as_link(), cfg.as_fabric(), name=f"incast.{cfg.name}.{n_servers}")
+    if obs is not None:
+        obs.metrics.register_collector(port.collect)
     fanin = synchronized_fanin(
         cfg.as_link(),
         cfg.as_fabric(),

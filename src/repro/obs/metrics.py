@@ -3,15 +3,20 @@
 A :class:`MetricsRegistry` hands out metric instances keyed by
 ``(name, labels)``; callers cache the returned object and bump plain
 attributes on the hot path, so recording costs one attribute store.
-Everything is deterministic: no wall clock, no hashing order — the
-snapshot is emitted in sorted key order, so two identical runs produce
-byte-identical exports.
+
+Facts a component already counts for itself (kernel totals, switch-port
+totals, server counters) are not pushed at all: the component registers
+a *collector* that publishes its plain counts when the registry is read
+(see :meth:`MetricsRegistry.collect`).  Everything is deterministic: no
+wall clock, no hashing order — the snapshot is emitted in sorted key
+order, so two identical runs produce byte-identical exports.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterator, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Tuple
 
 LabelItems = Tuple[Tuple[str, str], ...]
 
@@ -133,18 +138,31 @@ class Histogram:
         return f"Histogram({render_key(self.name, self.labels)}, n={self.count})"
 
 
+def _add_counts(prefix: str, counts: Mapping[str, float], labels: dict, m) -> None:
+    for key, amount in counts.items():
+        m.counter(prefix + key, **labels).inc(amount)
+
+
 class MetricsRegistry:
     """Deterministic registry of named, labelled metrics.
 
     ``counter`` / ``gauge`` / ``histogram`` create on first use and return
     the cached instance afterwards; a name+labels pair is pinned to one
     metric type for the registry's lifetime.
+
+    **Collectors.**  :meth:`register_collector` adds a callable
+    ``collect(registry)`` that publishes a component's own counts through
+    :meth:`counter` / :meth:`gauge`.  Every read (:meth:`snapshot`,
+    iteration, :meth:`find`, ``len()``) goes through :meth:`collect`, so
+    collected series always equal their components' totals.  A series a
+    collector owns must not also be pushed.
     """
 
-    __slots__ = ("_metrics",)
+    __slots__ = ("_metrics", "_collectors")
 
     def __init__(self) -> None:
         self._metrics: dict[Tuple[str, LabelItems], object] = {}
+        self._collectors: list[Callable[["MetricsRegistry"], None]] = []
 
     def _get(self, cls, name: str, labels: dict, **kwargs):
         key = (name, _label_items(labels))
@@ -158,6 +176,32 @@ class MetricsRegistry:
                 f"{type(metric).__name__}, not {cls.__name__}"
             )
         return metric
+
+    def register_collector(self, collect: Callable[["MetricsRegistry"], None]) -> None:
+        """Have ``collect(registry)`` publish its component's counts at every read."""
+        self._collectors.append(collect)
+
+    def collect(self) -> dict:
+        """Every metric by key: the pushed ones plus freshly collected series.
+
+        The collectors run into an empty registry on every call, so
+        several components sharing this registry add up and nothing is
+        counted twice; a gauge folded by max starts from zero.
+        """
+        if not self._collectors:
+            return self._metrics
+        fresh = MetricsRegistry()
+        for collect in self._collectors:
+            collect(fresh)
+        return {**self._metrics, **fresh._metrics}
+
+    def register_counts(self, prefix: str, counts: Mapping[str, float], **labels) -> None:
+        """Collect each ``key -> amount`` of ``counts`` as counter ``prefix + key``.
+
+        The collector holds only ``counts`` (e.g. a component's
+        ``collections.Counter``), not the component that owns it.
+        """
+        self.register_collector(partial(_add_counts, prefix, counts, labels))
 
     def counter(self, name: str, **labels) -> Counter:
         return self._get(Counter, name, labels)
@@ -173,11 +217,12 @@ class MetricsRegistry:
         )
 
     def __len__(self) -> int:
-        return len(self._metrics)
+        return len(self.collect())
 
     def __iter__(self) -> Iterator[object]:
-        for key in sorted(self._metrics):
-            yield self._metrics[key]
+        metrics = self.collect()
+        for key in sorted(metrics):
+            yield metrics[key]
 
     def find(self, prefix: str = "") -> list:
         """All metrics whose name starts with ``prefix``, sorted by key."""
@@ -185,11 +230,12 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """Sorted, JSON-ready view of every metric (deterministic)."""
+        metrics = self.collect()
         counters: dict[str, float] = {}
         gauges: dict[str, float] = {}
         histograms: dict[str, dict] = {}
-        for key in sorted(self._metrics):
-            metric = self._metrics[key]
+        for key in sorted(metrics):
+            metric = metrics[key]
             full = render_key(*key)
             if isinstance(metric, Counter):
                 counters[full] = metric.value

@@ -8,6 +8,7 @@ application rank that performs metadata and data operations through
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -25,7 +26,6 @@ from repro.pfs.params import PFSParams
 from repro.pfs.security import NO_SECURITY, SecurityPolicy
 from repro.scrub.ledger import StripeLedger
 from repro.sim import Acquire, Event, Resource, SimulationError, Simulator, Store, Timeout, Wait
-from repro.sim.stats import Counter
 
 
 @dataclass
@@ -103,14 +103,9 @@ class _StorageServer:
         self._up_event: Optional[Event] = None
         self._down_span = None
         obs = sim.obs
-        # one source of truth for per-server accounting: the component
-        # counters mirror straight into the obs registry (labelled by server)
-        self.counters = Counter(
-            registry=obs.metrics if obs is not None else None,
-            prefix="pfs.server.",
-            labels={"server": index},
-        )
+        self.counters: Counter[str] = Counter()
         if obs is not None:
+            obs.metrics.register_counts("pfs.server.", self.counters, server=index)
             self._h_service = obs.metrics.histogram("pfs.server.service_s", server=index)
             self._tracer = obs.tracer
         else:
@@ -140,7 +135,7 @@ class _StorageServer:
         self.park = park
         self._down_since = self.sim.now
         self._up_event = self.sim.event(f"osd{self.index}.up")
-        self.counters.add("crashes")
+        self.counters["crashes"] += 1
         obs = self.sim.obs
         if obs is not None:
             obs.metrics.gauge("faults.servers_down").inc()
@@ -154,7 +149,7 @@ class _StorageServer:
             return
         self.up = True
         self._downtime += self.sim.now - self._down_since
-        self.counters.add("recoveries")
+        self.counters["recoveries"] += 1
         ev, self._up_event = self._up_event, None
         if ev is not None:
             ev.succeed(self.sim.now)
@@ -169,7 +164,7 @@ class _StorageServer:
         if multiplier <= 0:
             raise ValueError("disk slowdown multiplier must be positive")
         self.slowdown = multiplier
-        self.counters.add("slowdowns")
+        self.counters["slowdowns"] += 1
 
     def downtime_s(self) -> float:
         """Cumulative seconds spent down (including a still-open outage)."""
@@ -192,7 +187,7 @@ class _StorageServer:
                         yield Wait(self._up_event)
                 else:
                     # connection-refused flavor: fail fast, zero sim time
-                    self.counters.add("requests_rejected")
+                    self.counters["requests_rejected"] += 1
                     req.done.fail(ServerDown(self.index, self.sim.now))
                     continue
             t0 = self.sim.now
@@ -256,8 +251,8 @@ class _StorageServer:
                         )
             # record once, after service completes, from one source of truth
             elapsed = self.sim.now - t0
-            self.counters.add("requests")
-            self.counters.add("bytes_written" if req.write else "bytes_read", req.nbytes)
+            self.counters["requests"] += 1
+            self.counters["bytes_written" if req.write else "bytes_read"] += req.nbytes
             if self._h_service is not None:
                 self._h_service.observe(elapsed)
             if span is not None:
@@ -300,9 +295,8 @@ class SimPFS:
             strategy = build_placement(
                 params.placement,
                 params.n_servers,
-                metrics=sim.obs.metrics if sim.obs is not None else None,
+                topology=self.topology,
                 now_fn=lambda: sim.now,
-                fabric=params.fabric,
             )
             self.placement = PlacedLayout(strategy, params.stripe_unit)
         # metadata service: one or several independent servers; paths hash
@@ -346,9 +340,9 @@ class SimPFS:
             StripeLedger(self.redundancy) if self.redundancy is not None else None
         )
         self.obs = sim.obs
-        self.counters = Counter(
-            registry=self.obs.metrics if self.obs else None, prefix="pfs."
-        )
+        self.counters: Counter[str] = Counter()
+        if self.obs is not None:
+            self.obs.metrics.register_counts("pfs.", self.counters)
         self._c_client_w: dict[int, object] = {}
         self._c_client_r: dict[int, object] = {}
         # cost of a read-modify-write merge of one lock block (served remotely)
@@ -360,9 +354,6 @@ class SimPFS:
         )
 
     # -- helpers --------------------------------------------------------
-    def _nic(self, client: int) -> Resource:
-        return self.topology.client_nic(client)
-
     def _extents_for(self, fh: FileHandle, offset: int, nbytes: int) -> list[Extent]:
         """The request's per-server extents under the active layout policy."""
         if self.placement is not None:
@@ -394,7 +385,7 @@ class SimPFS:
         grant = yield Acquire(mds)
         yield Timeout(n_ops * self.params.mds_op_s + extra_s)
         mds.release(grant)
-        self.counters.add("mds_ops", n_ops)
+        self.counters["mds_ops"] += n_ops
 
     def op_create(self, client: int, path: str):
         """Create (and implicitly open) a file."""
@@ -431,7 +422,7 @@ class SimPFS:
         # handle distribution piggybacks on the app's collective network:
         # one broadcast latency, not an MDS visit per rank
         yield Timeout(self.params.rpc_latency_s)
-        self.counters.add("group_opens")
+        self.counters["group_opens"] += 1
         return self.lookup(path)
 
     def op_stat_layout(self, client: int, path: str):
@@ -525,7 +516,7 @@ class SimPFS:
         is marked lost, groups past the redundancy tolerance are recorded
         as permanent data loss, and the scrub counters pick up the damage.
         """
-        self.servers[server].counters.add("disk_losses")
+        self.servers[server].counters["disk_losses"] += 1
         if self.ledger is None:
             return
         summary = self.ledger.mark_server_lost(server, now=self.sim.now)
@@ -960,7 +951,7 @@ class SimPFS:
                     )
             yield from self._ft_gather(procs)
         fh.size = max(fh.size, offset + nbytes)
-        self.counters.add("bytes_written", nbytes)
+        self.counters["bytes_written"] += nbytes
         if obs is not None:
             self._client_counter(self._c_client_w, client, "pfs.client.bytes_written").inc(nbytes)
             sp.finish(at=self.sim.now)
@@ -1033,7 +1024,7 @@ class SimPFS:
         yield from self.topology.client_xfer(client, nbytes)
         if xsp is not None:
             xsp.finish(at=self.sim.now)
-        self.counters.add("bytes_read", nbytes)
+        self.counters["bytes_read"] += nbytes
         if obs is not None:
             self._client_counter(self._c_client_r, client, "pfs.client.bytes_read").inc(nbytes)
             sp.finish(at=self.sim.now)
@@ -1044,7 +1035,7 @@ class SimPFS:
         return [
             {
                 **s.disk.stats(),
-                **s.counters.as_dict(),
+                **s.counters,
                 "server": s.index,
                 "up": s.up,
                 "downtime_s": s.downtime_s(),

@@ -9,7 +9,7 @@ congestion collapse at hot switch ports.  This module closes the loop:
   :class:`~repro.placement.strategies.PlacementStrategy` and re-weights
   its server choice with live per-port costs from a
   :class:`~repro.net.fabric.FabricFeedback` (EWMA-smoothed occupancy +
-  drop rates read from the obs registry);
+  drop rates read off the topology's switch ports);
 * :func:`build_placement` resolves the ``PFSParams.placement`` knob —
   a strategy instance, a spec string (``"round-robin"``, ``"crush"``,
   ``"raid-group-4"``, ``"congestion"``, ``"congestion:crush"`` …), or a
@@ -130,20 +130,21 @@ def build_placement(
     spec,
     n_servers: int,
     *,
-    metrics=None,
+    topology=None,
     now_fn=None,
-    fabric=None,
     **feedback_knobs,
 ) -> PlacementStrategy:
     """Resolve the ``PFSParams.placement`` knob into a bound strategy.
 
     ``spec`` may be a :class:`PlacementStrategy` (used as-is), a factory
-    callable ``f(n_servers, metrics=…, now_fn=…, fabric=…)``, or a spec
-    string.  ``"congestion"`` (optionally ``"congestion:<base>"``) wraps
-    the base in :class:`CongestionAwarePlacement` with a
-    :class:`~repro.net.fabric.FabricFeedback` bound to ``metrics`` /
-    ``now_fn``; with ``metrics=None`` (no active obs bundle) the wrapper
-    carries no feedback and behaves exactly like its base.
+    callable ``f(n_servers, topology=…, now_fn=…)``, or a spec string.
+    ``"congestion"`` (optionally ``"congestion:<base>"``) wraps the base
+    in :class:`CongestionAwarePlacement` with a
+    :class:`~repro.net.fabric.FabricFeedback` reading ``topology``'s
+    switch ports on the ``now_fn`` clock — with or without an active
+    obs bundle; on a leaf/spine fabric each server's cost also includes
+    its rack downlink.  Only with ``topology=None`` does the wrapper
+    carry no feedback and behave exactly like its base.
     """
     if isinstance(spec, PlacementStrategy):
         if spec.n_servers != n_servers:
@@ -153,32 +154,14 @@ def build_placement(
             )
         return spec
     if callable(spec):
-        return spec(n_servers, metrics=metrics, now_fn=now_fn, fabric=fabric)
+        return spec(n_servers, topology=topology, now_fn=now_fn)
     if not isinstance(spec, str):
         raise TypeError(f"placement spec must be a strategy, callable, or str, got {type(spec)}")
     if spec == "congestion" or spec.startswith("congestion:"):
         base_spec = spec.partition(":")[2] or "round-robin"
         base = _build_base(base_spec, n_servers)
         feedback = None
-        if metrics is not None:
-            buffer_pkts = getattr(fabric, "buffer_pkts", None)
-            # on a leaf/spine fabric each server's cost also includes its
-            # rack downlink, so a hot oversubscribed uplink steers new
-            # stripes toward other racks (not just other edge ports)
-            uplink_names = None
-            leafspine = getattr(fabric, "leafspine", None)
-            if leafspine is not None:
-                uplink_names = [
-                    f"leaf{s * leafspine.n_racks // n_servers}.down"
-                    for s in range(n_servers)
-                ]
-            feedback = FabricFeedback(
-                metrics,
-                n_servers,
-                now_fn=now_fn,
-                buffer_norm=float(buffer_pkts) if buffer_pkts else 64.0,
-                uplink_names=uplink_names,
-                **feedback_knobs,
-            )
+        if topology is not None:
+            feedback = FabricFeedback(topology, now_fn=now_fn, **feedback_knobs)
         return CongestionAwarePlacement(base, feedback=feedback)
     return _build_base(spec, n_servers)

@@ -32,13 +32,11 @@ from repro.sim.core import (
     Wait,
 )
 from repro.sim.resources import Resource, Store
-from repro.sim.stats import Counter, Gauge, TimeWeightedValue, WelfordStat
+from repro.sim.stats import TimeWeightedValue, WelfordStat
 
 __all__ = [
     "Acquire",
-    "Counter",
     "Event",
-    "Gauge",
     "Process",
     "Resource",
     "SimulationError",

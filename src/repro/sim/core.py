@@ -158,8 +158,6 @@ class Process:
                 target = self.gen.send(value)  # send(None) starts a generator
         except StopIteration as stop:
             self.sim.processes_finished += 1
-            if self.sim._c_finished is not None:
-                self.sim._c_finished.value += 1.0
             self.done_event.succeed(stop.value)
             return
         except BaseException as err:
@@ -199,12 +197,13 @@ class Simulator:
     obs:
         Optional :class:`repro.obs.Observability` bundle; defaults to the
         globally active one (``repro.obs.current()``).  When set, the
-        kernel counts scheduled/dispatched events and process lifecycle
-        into the bundle's registry, and resources built on this
-        simulator record wait/service histograms.  The event counters
-        are published once per :meth:`run` slice, when it ends (also
-        when it re-raises), so they lag :meth:`event_stats` while a
-        slice is running.
+        simulator registers a collector that publishes its
+        :meth:`event_stats` totals (``sim.events_scheduled`` /
+        ``events_dispatched``, ``sim.processes_spawned`` / ``finished``,
+        ``sim.max_heap_depth``, ``sim.now``) whenever the registry is
+        read, so the registry equals :meth:`event_stats` at any read;
+        resources built on this simulator record wait/service
+        histograms.
     profile:
         Kernel profiler knob (flight-recorder pillar 2).  ``False``
         (default) disables it; ``True`` measures the wall time of every
@@ -253,7 +252,6 @@ class Simulator:
         self.max_heap_depth = 0
         self.run_wall_s = 0.0
         self.run_slices = 0
-        self._seq_published = 0  # events_scheduled already in the registry
         # batching overlays: coalesced tick wakeups + pooled events
         self._coalesced: dict[tuple, bool] = {}
         self.wakeups_coalesced = 0
@@ -263,15 +261,7 @@ class Simulator:
         self._profile_acc: dict[str, list] = {}  # label -> [samples, wall_s]
         self.obs = obs if obs is not None else _current_obs()
         if self.obs is not None:
-            m = self.obs.metrics
-            self._c_scheduled = m.counter("sim.events_scheduled")
-            self._c_dispatched = m.counter("sim.events_dispatched")
-            self._c_spawned = m.counter("sim.processes_spawned")
-            self._c_finished = m.counter("sim.processes_finished")
-            self._g_now = m.gauge("sim.now")
-        else:
-            self._c_scheduled = self._c_dispatched = None
-            self._c_spawned = self._c_finished = self._g_now = None
+            self.obs.metrics.register_collector(self._collect)
 
     # -- scheduling --------------------------------------------------
     def _schedule(self, time: float, fn: Callable, *args: Any) -> None:
@@ -358,8 +348,6 @@ class Simulator:
         proc = Process(self, gen, name=name)
         self._schedule(self.now, proc._step)
         self.processes_spawned += 1
-        if self._c_spawned is not None:
-            self._c_spawned.value += 1.0
         return proc
 
     def spawn_all(self, gens: Iterable[Generator]) -> list[Process]:
@@ -408,16 +396,6 @@ class Simulator:
         finally:
             self.events_dispatched += n_disp
             self.run_wall_s += _time.perf_counter() - wall0
-            # publish the slice's counts and keep the gauges truthful,
-            # even when a crashed process re-raises
-            if self._g_now is not None:
-                self._c_scheduled.value += float(self._seq - self._seq_published)
-                self._seq_published = self._seq
-                self._c_dispatched.value += float(n_disp)
-                self._g_now.set(self.now)
-                g = self.obs.metrics.gauge("sim.max_heap_depth")
-                if self.max_heap_depth > g.value:
-                    g.set(float(self.max_heap_depth))
         return self.now
 
     def peek(self) -> float:
@@ -448,6 +426,17 @@ class Simulator:
             ),
             "now": self.now,
         }
+
+    def _collect(self, m) -> None:
+        """Registry collector: publish the kernel totals into ``m``."""
+        m.counter("sim.events_scheduled").inc(self.events_scheduled)
+        m.counter("sim.events_dispatched").inc(self.events_dispatched)
+        m.counter("sim.processes_spawned").inc(self.processes_spawned)
+        m.counter("sim.processes_finished").inc(self.processes_finished)
+        m.gauge("sim.now").set(self.now)
+        depth = m.gauge("sim.max_heap_depth")
+        if self.max_heap_depth > depth.value:
+            depth.set(self.max_heap_depth)
 
     def _profile_note(self, fn: Callable, wall_s: float) -> None:
         owner = getattr(fn, "__self__", None)

@@ -30,7 +30,9 @@ class Resource:
 
     Processes request a unit with ``grant = yield Acquire(res)`` and must
     call ``res.release(grant)`` when done.  Utilization statistics are
-    tracked for reporting.
+    tracked for reporting; under an obs bundle the ``sim.resource.wait_s``
+    / ``service_s`` histograms are registered on the first grant, so a
+    resource nobody acquires costs the registry nothing.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "") -> None:
@@ -45,15 +47,8 @@ class Resource:
         self._last_change = 0.0
         self.total_grants = 0
         self.total_wait = 0.0
-        obs = getattr(sim, "obs", None)
-        if obs is not None:
-            label = name or "anon"
-            self._h_wait = obs.metrics.histogram("sim.resource.wait_s", resource=label)
-            self._h_service = obs.metrics.histogram(
-                "sim.resource.service_s", resource=label
-            )
-        else:
-            self._h_wait = self._h_service = None
+        self._obs = getattr(sim, "obs", None)
+        self._h_wait = self._h_service = None  # registered on the first grant
 
     # internal protocol used by Acquire dispatch
     def _enqueue(self, proc: Process) -> None:
@@ -71,8 +66,14 @@ class Resource:
         self.total_grants += 1
         wait = now - enqueued_at
         self.total_wait += wait
-        if self._h_wait is not None:
-            self._h_wait.observe(wait)
+        h = self._h_wait
+        if h is None and self._obs is not None:
+            label = self.name or "anon"
+            m = self._obs.metrics
+            h = self._h_wait = m.histogram("sim.resource.wait_s", resource=label)
+            self._h_service = m.histogram("sim.resource.service_s", resource=label)
+        if h is not None:
+            h.observe(wait)
         self.sim._schedule(now, proc._step, Grant(self, now))
 
     def release(self, grant: Grant) -> None:

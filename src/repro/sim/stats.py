@@ -1,90 +1,14 @@
 """Lightweight online statistics for simulation instrumentation.
 
-.. deprecated::
-    :class:`Counter` and :class:`Gauge` here are the legacy per-component
-    stores.  New instrumentation should use the cross-cutting
-    :class:`repro.obs.MetricsRegistry` (labelled counters/gauges/
-    histograms, deterministic job reports).  Both classes accept a
-    ``registry``/``prefix`` pair so existing call sites mirror their
-    updates into an active registry without any caller changes — direct
-    dict-style access (``counter["key"]``, ``as_dict()``) keeps working
-    as a thin back-compat shim.
+Counts belong on the component that makes them (plain ints or a
+``collections.Counter``) and reach :class:`repro.obs.MetricsRegistry`
+through a collector; this module keeps only the streaming estimators.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Optional
-
-
-class Counter:
-    """Named monotone counters (events, bytes, retries ...).
-
-    When ``registry`` (a :class:`repro.obs.MetricsRegistry`) is given,
-    every ``add`` is mirrored to ``registry.counter(prefix + key,
-    **labels)`` — so one component-local store can double as the obs
-    source of truth instead of double-booking into both.
-    """
-
-    def __init__(self, registry=None, prefix: str = "", labels: Optional[dict] = None) -> None:
-        self._counts: dict[str, float] = {}
-        self._registry = registry
-        self._prefix = prefix
-        self._labels = dict(labels) if labels else {}
-
-    def add(self, key: str, amount: float = 1.0) -> None:
-        self._counts[key] = self._counts.get(key, 0.0) + amount
-        if self._registry is not None:
-            self._registry.counter(self._prefix + key, **self._labels).inc(amount)
-
-    #: alias matching :class:`repro.obs.metrics.Counter`
-    inc = add
-
-    def __getitem__(self, key: str) -> float:
-        return self._counts.get(key, 0.0)
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self._counts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"{k}={v:g}" for k, v in sorted(self._counts.items()))
-        return f"Counter({inner})"
-
-
-class Gauge:
-    """Named instantaneous values with set/inc/dec (non-monotone).
-
-    The keyed sibling of :class:`Counter` for queue depths, open-handle
-    counts, watermarks...  Mirrors into ``registry.gauge(prefix + key,
-    **labels)`` when bound to a :class:`repro.obs.MetricsRegistry`.
-    """
-
-    def __init__(self, registry=None, prefix: str = "", labels: Optional[dict] = None) -> None:
-        self._values: dict[str, float] = {}
-        self._registry = registry
-        self._prefix = prefix
-        self._labels = dict(labels) if labels else {}
-
-    def set(self, key: str, value: float) -> None:
-        self._values[key] = float(value)
-        if self._registry is not None:
-            self._registry.gauge(self._prefix + key, **self._labels).set(value)
-
-    def inc(self, key: str, amount: float = 1.0) -> None:
-        self.set(key, self._values.get(key, 0.0) + amount)
-
-    def dec(self, key: str, amount: float = 1.0) -> None:
-        self.set(key, self._values.get(key, 0.0) - amount)
-
-    def __getitem__(self, key: str) -> float:
-        return self._values.get(key, 0.0)
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self._values)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"{k}={v:g}" for k, v in sorted(self._values.items()))
-        return f"Gauge({inner})"
 
 
 class WelfordStat:

@@ -6,16 +6,16 @@ gating, stale-telemetry decay), the deciding half
 sticky chunk map (``PlacedLayout``), and the end-to-end ``SimPFS``
 wiring behind the ``PFSParams.placement`` knob.
 
-The fault-injection scenario pinned here: a switch port whose exported
-gauges go *stale* (a stalled switch stops updating the registry) must
-not wedge placement — the EWMA decays and the strategy falls back to
+The fault-injection scenario pinned here: a switch port whose readings
+go *stale* (a stalled switch stops moving its counters) must not wedge
+placement — the EWMA decays and the strategy falls back to
 its wrapped choice instead of steering forever on frozen telemetry.
 """
 
 import pytest
 
 from repro import obs as obs_mod
-from repro.net.fabric import FabricFeedback, FabricParams
+from repro.net.fabric import FabricFeedback, FabricParams, Link, Topology
 from repro.pfs.layout import PlacedLayout, StripeLayout
 from repro.pfs.params import PFSParams
 from repro.pfs.system import SimPFS
@@ -39,29 +39,37 @@ class FakeClock:
         return self.t
 
 
-def _feedback(metrics, clock, **kw):
+def _topo(n_servers: int = N, buffer_pkts: int = 64) -> Topology:
+    return Topology(
+        Simulator(), n_servers, Link(125e6), Link(125e6),
+        fabric=FabricParams(buffer_pkts=buffer_pkts),
+    )
+
+
+def _feedback(topo, clock, **kw):
     kw.setdefault("interval_s", 1e-3)
     kw.setdefault("alpha", 0.5)
     kw.setdefault("stale_after_s", 5e-3)
-    return FabricFeedback(metrics, N, now_fn=clock, **kw)
+    return FabricFeedback(topo, now_fn=clock, **kw)
 
 
-def _heat(metrics, server: int, occupancy: float = 64.0, drops: float = 0.0):
-    metrics.gauge("net.fabric.occupancy_pkts", port=f"server{server}").set(occupancy)
-    if drops:
-        metrics.counter("net.fabric.drops_pkts", port=f"server{server}").inc(drops)
+def _heat(topo, server: int, occupancy: int = 64, drops: int = 0):
+    port = topo.server_ports[server]
+    port.occupancy_pkts = occupancy
+    port.record_drops(drops)
 
 
 # -- FabricFeedback ----------------------------------------------------
 
 
 def test_feedback_costs_track_occupancy_and_drops():
-    o = obs_mod.Observability()
+    topo = _topo()
     clock = FakeClock()
-    fb = _feedback(o.metrics, clock, buffer_norm=64.0, drop_weight=0.1)
+    fb = _feedback(topo, clock, drop_weight=0.1)
+    assert fb.buffer_norm == 64.0
     fb.costs()  # seed snapshot: all idle
-    _heat(o.metrics, 0, occupancy=64.0)
-    _heat(o.metrics, 1, occupancy=8.0, drops=2.0)
+    _heat(topo, 0, occupancy=64)
+    _heat(topo, 1, occupancy=8, drops=2)
     clock.t += 2e-3
     costs = fb.costs()
     assert costs[0] > costs[1] > 0.0
@@ -73,11 +81,11 @@ def test_feedback_costs_track_occupancy_and_drops():
 
 
 def test_feedback_interval_gates_refresh():
-    o = obs_mod.Observability()
+    topo = _topo()
     clock = FakeClock()
-    fb = _feedback(o.metrics, clock)
+    fb = _feedback(topo, clock)
     fb.costs()
-    _heat(o.metrics, 3, occupancy=32.0)
+    _heat(topo, 3, occupancy=32)
     clock.t += 0.4e-3  # less than one interval: snapshot not folded yet
     assert fb.costs()[3] == 0.0
     clock.t += 0.7e-3
@@ -87,15 +95,15 @@ def test_feedback_interval_gates_refresh():
 def test_feedback_ewma_smooths_transient_bursts():
     """One hot snapshot decays geometrically once the port goes quiet —
     placement reacts to sustained heat, not a single burst."""
-    o = obs_mod.Observability()
+    topo = _topo()
     clock = FakeClock()
-    fb = _feedback(o.metrics, clock, alpha=0.5, stale_after_s=1.0)
+    fb = _feedback(topo, clock, alpha=0.5, stale_after_s=1.0)
     fb.costs()
-    _heat(o.metrics, 0, occupancy=64.0)
+    _heat(topo, 0, occupancy=64)
     clock.t += 1e-3
     peak = fb.costs()[0]
     assert peak == pytest.approx(0.5)  # one fold toward instant=1.0 at alpha=0.5
-    _heat(o.metrics, 0, occupancy=0.0)  # burst over
+    _heat(topo, 0, occupancy=0)  # burst over
     seen = []
     for _ in range(4):
         clock.t += 1e-3
@@ -105,7 +113,7 @@ def test_feedback_ewma_smooths_transient_bursts():
 
 
 def test_feedback_without_registry_is_inert():
-    fb = FabricFeedback(None, N)
+    fb = FabricFeedback(_topo())
     assert fb.costs() == [0.0] * N
     strat = CongestionAwarePlacement(RoundRobinPlacement(N), feedback=None)
     assert strat.place(5, 3) == RoundRobinPlacement(N).place(5, 3)
@@ -113,11 +121,11 @@ def test_feedback_without_registry_is_inert():
 
 def test_feedback_rejects_bad_knobs():
     with pytest.raises(ValueError):
-        FabricFeedback(None, 0)
+        FabricFeedback(_topo(0))
     with pytest.raises(ValueError):
-        FabricFeedback(None, 4, alpha=0.0)
+        FabricFeedback(_topo(4), alpha=0.0)
     with pytest.raises(ValueError):
-        FabricFeedback(None, 4, interval_s=0.0)
+        FabricFeedback(_topo(4), interval_s=0.0)
 
 
 # -- fault injection: stale telemetry ----------------------------------
@@ -128,19 +136,19 @@ def test_stale_gauges_decay_and_placement_falls_back():
     stall) first diverts traffic, then — once the telemetry is stale —
     decays back to the base strategy.  Placement never wedges and never
     raises."""
-    o = obs_mod.Observability()
+    topo = _topo()
     clock = FakeClock()
-    fb = _feedback(o.metrics, clock, stale_after_s=5e-3)
+    fb = _feedback(topo, clock, stale_after_s=5e-3)
     base = RoundRobinPlacement(N)
     strat = CongestionAwarePlacement(base, feedback=fb)
     fb.costs()  # seed
     # heat port 0, keep its counters moving so it reads as live
     file_id = 0  # base choice for (0, 0) is server 0
-    _heat(o.metrics, 0, occupancy=64.0, drops=50.0)
+    _heat(topo, 0, occupancy=64, drops=50)
     clock.t += 2e-3
     diverted = strat.place(file_id, 0)
     assert diverted != 0, "live hot port must divert"
-    # the switch stalls: gauges/counters stop updating entirely
+    # the switch stalls: occupancy/counters stop moving entirely
     for step in range(40):
         clock.t += 1e-3
         choice = strat.place(file_id, 0)  # must never raise, never hang
@@ -153,18 +161,18 @@ def test_stale_gauges_decay_and_placement_falls_back():
 
 
 def test_stale_port_recovers_when_telemetry_resumes():
-    o = obs_mod.Observability()
+    topo = _topo()
     clock = FakeClock()
-    fb = _feedback(o.metrics, clock, stale_after_s=5e-3)
+    fb = _feedback(topo, clock, stale_after_s=5e-3)
     fb.costs()
-    _heat(o.metrics, 0, occupancy=64.0)
+    _heat(topo, 0, occupancy=64)
     clock.t += 2e-3
     assert fb.costs()[0] > 0.5
     for _ in range(20):  # stall long enough to decay + flag stale
         clock.t += 1e-3
         fb.costs()
     assert fb.stale[0]
-    _heat(o.metrics, 0, occupancy=48.0, drops=10.0)  # switch comes back
+    _heat(topo, 0, occupancy=48, drops=10)  # switch comes back
     clock.t += 1e-3
     assert fb.costs()[0] > 0.5
     assert not fb.stale[0]
@@ -174,29 +182,29 @@ def test_stale_port_recovers_when_telemetry_resumes():
 
 
 def test_diversion_requires_hysteresis_margin():
-    o = obs_mod.Observability()
+    topo = _topo()
     clock = FakeClock()
-    fb = _feedback(o.metrics, clock)
+    fb = _feedback(topo, clock)
     strat = CongestionAwarePlacement(
         RoundRobinPlacement(N), feedback=fb, hysteresis=0.5
     )
     fb.costs()
-    _heat(o.metrics, 0, occupancy=16.0)  # cost 0.25 < hysteresis 0.5
+    _heat(topo, 0, occupancy=16)  # cost 0.25 < hysteresis 0.5
     clock.t += 2e-3
     assert strat.place(0, 0) == 0, "sub-hysteresis heat must not divert"
-    _heat(o.metrics, 0, occupancy=64.0)
+    _heat(topo, 0, occupancy=64)
     clock.t += 2e-3
     assert strat.place(0, 0) != 0
 
 
 def test_diversion_picks_cheapest_candidate():
-    o = obs_mod.Observability()
+    topo = _topo()
     clock = FakeClock()
-    fb = _feedback(o.metrics, clock)
+    fb = _feedback(topo, clock)
     strat = CongestionAwarePlacement(RoundRobinPlacement(N), feedback=fb, fanout=3)
     fb.costs()
-    _heat(o.metrics, 0, occupancy=64.0)
-    _heat(o.metrics, 1, occupancy=32.0)
+    _heat(topo, 0, occupancy=64)
+    _heat(topo, 1, occupancy=32)
     clock.t += 2e-3
     # base choice for (0, 0) is 0; candidates are {0, 1, 2}: 2 is coldest
     assert strat.place(0, 0) == 2
@@ -208,7 +216,7 @@ def test_congestion_wrapper_validates_shapes():
         CongestionAwarePlacement(RoundRobinPlacement(4), fanout=0)
     with pytest.raises(ValueError):
         CongestionAwarePlacement(
-            RoundRobinPlacement(4), feedback=FabricFeedback(None, 5)
+            RoundRobinPlacement(4), feedback=FabricFeedback(_topo(5))
         )
 
 
@@ -222,14 +230,8 @@ def test_build_placement_specs():
     assert isinstance(rg, RaidGroupPlacement) and rg.group_size == 3
     cong = build_placement("congestion", N)
     assert isinstance(cong, CongestionAwarePlacement)
-    assert cong.feedback is None  # no metrics -> inert wrapper
-    o = obs_mod.Observability()
-    wired = build_placement(
-        "congestion:crush",
-        N,
-        metrics=o.metrics,
-        fabric=FabricParams(buffer_pkts=32),
-    )
+    assert cong.feedback is None  # no topology -> inert wrapper
+    wired = build_placement("congestion:crush", N, topology=_topo(buffer_pkts=32))
     assert isinstance(wired.base, CrushLikePlacement)
     assert wired.feedback is not None
     assert wired.feedback.buffer_norm == 32.0
@@ -249,14 +251,14 @@ def test_build_placement_specs():
 def test_placed_layout_is_sticky_under_time_varying_costs():
     """Once a chunk is placed, later cost changes must not move it —
     reads must find the bytes where the write put them."""
-    o = obs_mod.Observability()
+    topo = _topo()
     clock = FakeClock()
-    fb = _feedback(o.metrics, clock)
+    fb = _feedback(topo, clock)
     strat = CongestionAwarePlacement(RoundRobinPlacement(N), feedback=fb)
     layout = PlacedLayout(strat, stripe_unit=64 * 1024)
     fb.costs()
     first = layout.server_of(0, 0)
-    _heat(o.metrics, first, occupancy=64.0, drops=100.0)  # now make it hot
+    _heat(topo, first, occupancy=64, drops=100)  # now make it hot
     clock.t += 2e-3
     assert layout.server_of(0, 0) == first  # sticky
     assert layout.server_of(0, 1) != first  # but new chunks divert
@@ -345,4 +347,6 @@ def test_simpfs_congestion_binds_feedback_to_active_obs():
         assert strat.feedback.buffer_norm == 16.0
     sim2 = Simulator()
     pfs2 = SimPFS(sim2, PFSParams(n_servers=N, placement="congestion"))
-    assert pfs2.placement.strategy.feedback is None  # no obs bundle -> inert
+    assert sim2.obs is None
+    # no obs bundle: the feedback still reads the topology's ports
+    assert pfs2.placement.strategy.feedback.topology is pfs2.topology

@@ -110,6 +110,7 @@ def test_port_total_counters_without_obs():
 def test_port_metrics_registered():
     with obs_mod.use() as o:
         port = SwitchPort(Link(125e6), FabricParams(buffer_pkts=4), obs=o, name="p0")
+        o.metrics.register_collector(port.collect)  # stand-alone: no Topology collects it
         port.admit(3)
         port.record_drops(5)
         port.record_timeouts(2)
@@ -276,6 +277,7 @@ def test_fanin_port_accounting():
         link = Link(125e6)
         fab = FabricParams(name="t", buffer_pkts=64, min_rto_s=0.2)
         port = SwitchPort(link, fab, obs=o, name="fanin")
+        o.metrics.register_collector(port.collect)
         res = synchronized_fanin(
             link, fab, 64, 32 * 1024, np.random.default_rng(1), n_blocks=5, port=port
         )

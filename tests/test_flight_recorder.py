@@ -348,8 +348,9 @@ def test_profile_off_by_default_and_heap_gauge_with_bundle():
 
             for i in range(5):
                 sim.spawn(p(), name=f"g{i}")
-            # kernel event counters reach the registry once per run() slice
-            assert _published_event_counts(o) == (0.0, 0.0)
+            # the registry equals event_stats() before, between and after slices
+            assert _published_event_counts(o) == (5.0, 0.0)
+            assert sim.event_stats()["events_scheduled"] == 5
             for until in slices:
                 sim.run(until=until)
                 st = sim.event_stats()

@@ -14,7 +14,6 @@ import math
 
 import pytest
 
-from repro import obs as obs_mod
 from repro.collective.aggsel import rack_aligned_groups, select_aggregators
 from repro.net.fabric import (
     FabricFeedback,
@@ -253,27 +252,31 @@ def test_oversubscribed_uplink_is_the_bottleneck():
 # -- hierarchy-aware feedback -------------------------------------------
 
 def test_feedback_uplink_cost_charges_every_server_behind_it():
-    o = obs_mod.Observability()
-    m = o.metrics
-    names = ["leaf0.down", "leaf0.down", "leaf1.down", "leaf1.down"]
-    fb = FabricFeedback(m, 4, uplink_names=names, buffer_norm=64.0)
-    m.gauge("net.fabric.occupancy_pkts", port="leaf1.down").set(32.0)
+    topo = _topo(Simulator(), n_servers=4, n_racks=2, buffer_pkts=64)
+    fb = FabricFeedback(topo)
+    assert fb.uplink_names == ["leaf0.down", "leaf0.down", "leaf1.down", "leaf1.down"]
+    topo.leaf_down[1].occupancy_pkts = 32
     base = fb.costs()
     assert base[0] == base[1] == 0.0
     assert base[2] == base[3] == pytest.approx(0.5)
     # edge heat stacks on top of the shared hop cost (one EWMA fold of
     # the 16/64 instant edge reading)
-    m.gauge("net.fabric.occupancy_pkts", port="server2").set(16.0)
+    topo.server_ports[2].occupancy_pkts = 16
     costs = fb.costs()
     assert costs[2] == pytest.approx(costs[3] + fb.alpha * 16.0 / 64.0)
     assert fb.hop_costs()["leaf1.down"] > fb.hop_costs()["leaf0.down"]
 
 
 def test_feedback_uplink_names_validation_and_flat_default():
-    o = obs_mod.Observability()
-    with pytest.raises(ValueError):
-        FabricFeedback(o.metrics, 4, uplink_names=["leaf0.down"])
-    flat = FabricFeedback(o.metrics, 2)
+    """The hop labels come from the topology itself: one per server on a
+    leaf/spine fabric, none (and no hop EWMAs) on a flat one."""
+    topo = _topo(Simulator(), n_servers=8, n_racks=3)
+    fb = FabricFeedback(topo)
+    assert fb.uplink_names == [topo.uplink_name_for_server(s) for s in range(8)]
+    assert set(fb.hop_costs()) == {"leaf0.down", "leaf1.down", "leaf2.down"}
+    flat = FabricFeedback(
+        Topology(Simulator(), 2, Link(125e6), Link(125e6), fabric=FabricParams(buffer_pkts=64))
+    )
     assert flat.costs() == [0.0, 0.0]
     assert flat.hop_costs() == {}
 

@@ -266,20 +266,29 @@ def test_incast_metrics_recorded():
     assert "net.incast.timeouts{config=1GE,servers=8}" in snap["counters"]
 
 
-def test_stats_shim_mirrors_into_registry():
-    from repro.sim.stats import Counter as LegacyCounter, Gauge as LegacyGauge
-
+def test_collectors_are_pulled_and_resummed_at_every_read():
+    """Collected series are zeroed and re-added on each read, so two
+    components sharing a registry add up and nothing lags or doubles."""
     reg = MetricsRegistry()
-    c = LegacyCounter(registry=reg, prefix="legacy.")
-    c.add("ops", 2)
-    c.inc("ops")
-    assert c["ops"] == 3  # dict-style back-compat access still works
-    assert reg.counter("legacy.ops").value == 3
-    g = LegacyGauge(registry=reg, prefix="legacy.")
-    g.set("depth", 4)
-    g.dec("depth")
-    assert g["depth"] == 3
-    assert reg.gauge("legacy.depth").value == 3
+    counts = [{"ops": 2}, {"ops": 5}]
+    depth = [3, 7]
+    for i in range(2):
+        reg.register_counts("comp.", counts[i])
+
+        def collect(m, i=i):
+            g = m.gauge("comp.depth")
+            if depth[i] > g.value:
+                g.set(depth[i])
+        reg.register_collector(collect)
+    snap = reg.snapshot()
+    assert snap["counters"] == {"comp.ops": 7}
+    assert snap["gauges"] == {"comp.depth": 7}
+    counts[0]["ops"] += 1
+    depth[1] = 1
+    snap = reg.snapshot()
+    assert snap["counters"] == {"comp.ops": 8}  # re-summed, not accumulated
+    assert snap["gauges"] == {"comp.depth": 3}  # max fold over zeroed value
+    assert len(reg) == 2 and [m.name for m in reg.find("comp.ops")] == ["comp.ops"]
 
 
 def test_observability_off_means_no_metrics():

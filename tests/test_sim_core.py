@@ -159,31 +159,57 @@ def test_unwaited_exception_aborts_run():
         sim.run()
 
 
+def _kernel_series(o) -> dict:
+    snap = o.metrics.snapshot()
+    return {
+        "events_scheduled": snap["counters"]["sim.events_scheduled"],
+        "events_dispatched": snap["counters"]["sim.events_dispatched"],
+        "processes_spawned": snap["counters"]["sim.processes_spawned"],
+        "processes_finished": snap["counters"]["sim.processes_finished"],
+        "max_heap_depth": snap["gauges"]["sim.max_heap_depth"],
+        "now": snap["gauges"]["sim.now"],
+    }
+
+
+def _authority(sim) -> dict:
+    st = sim.event_stats()
+    return {k: st[k] for k in (
+        "events_scheduled", "events_dispatched", "processes_spawned",
+        "processes_finished", "max_heap_depth", "now",
+    )}
+
+
 def test_crash_still_updates_now_gauge():
-    """The sim.now gauge and event counters must be truthful even when
-    run() re-raises."""
+    """The registry equals event_stats() at any read: between run(until=)
+    slices, mid-run, and after run() re-raises a crash."""
     from repro import obs
 
     with obs.use() as o:
         sim = Simulator()
+        mid_run = []
 
         def child():
             yield Timeout(3.0)
             raise ValueError("boom")
 
         def bystander():
-            yield Timeout(5.0)
+            yield Timeout(1.0)
+            mid_run.append((_kernel_series(o), _authority(sim)))
+            yield Timeout(4.0)
 
         sim.spawn(child())
         sim.spawn(bystander())
+        assert _kernel_series(o) == _authority(sim)  # before any run
+        sim.run(until=0.5)
+        assert _kernel_series(o) == _authority(sim)
         with pytest.raises(ValueError, match="boom"):
             sim.run()
-        assert o.metrics.gauge("sim.now").value == 3.0
-        # the slice's event counts are published on the way out as well
+        assert mid_run and mid_run[0][0] == mid_run[0][1]
         st = sim.event_stats()
         assert st["pending_events"] == 1
-        assert o.metrics.counter("sim.events_scheduled").value == st["events_scheduled"] == 4
-        assert o.metrics.counter("sim.events_dispatched").value == st["events_dispatched"] == 3
+        assert o.metrics.snapshot()["gauges"]["sim.now"] == 3.0
+        assert _kernel_series(o) == _authority(sim)
+        assert st["events_scheduled"] == 5 and st["events_dispatched"] == 4
 
 
 def test_failure_propagation_no_existing_and_late_waiters():

@@ -4,18 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import Counter, TimeWeightedValue, WelfordStat
-
-
-def test_counter_accumulates():
-    c = Counter()
-    c.add("ops")
-    c.add("ops", 2)
-    c.add("bytes", 4096)
-    assert c["ops"] == 3
-    assert c["bytes"] == 4096
-    assert c["missing"] == 0
-    assert c.as_dict() == {"ops": 3, "bytes": 4096}
+from repro.sim import TimeWeightedValue, WelfordStat
 
 
 def test_welford_empty():
